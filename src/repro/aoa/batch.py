@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aoa.estimator import AoAEstimate, EstimatorConfig
+from repro.aoa.estimator import AoAEstimate, Calibrations, EstimatorConfig
 from repro.aoa.peaks import find_peaks_batch
 from repro.aoa.source_count import estimate_num_sources
 from repro.aoa.spectrum import (
@@ -81,21 +81,33 @@ class BatchAoAEstimator:
         return self.process_batch([capture], calibration=calibration)[0]
 
     def process_batch(self, captures: Sequence[Capture],
-                      calibration: Optional[CalibrationTable] = None) -> List[AoAEstimate]:
+                      calibration: Calibrations = None) -> List[AoAEstimate]:
         """Process a batch of captures into one :class:`AoAEstimate` each.
 
-        Raw captures are calibrated on the fly when ``calibration`` is given;
-        otherwise every capture must already be calibrated (unless the
+        Raw captures are calibrated on the fly when ``calibration`` is given:
+        one table for the whole batch, or a sequence of one (optional) table
+        per capture, so access points that share an array and configuration
+        share one call with each capture corrected by its own AP's table.
+        Otherwise every capture must already be calibrated (unless the
         configuration disables the check, as the calibration ablation does).
         """
         captures = list(captures)
         if not captures:
             return []
-        factors = calibration.correction_factors() if calibration is not None else None
+        if calibration is None or isinstance(calibration, CalibrationTable):
+            tables = [calibration] * len(captures)
+        else:
+            tables = list(calibration)
+            if len(tables) != len(captures):
+                raise ValueError(f"got {len(tables)} calibration tables for "
+                                 f"{len(captures)} captures")
+        distinct = {id(table): table for table in tables if table is not None}
+        factors = {key: table.correction_factors() for key, table in distinct.items()}
         samples_list: List[np.ndarray] = []
         corrections: List[Optional[np.ndarray]] = []
-        for capture in captures:
-            samples, correction = self._validated_samples(capture, calibration, factors)
+        for capture, table in zip(captures, tables):
+            samples, correction = self._validated_samples(
+                capture, table, factors.get(id(table)))
             samples_list.append(samples)
             corrections.append(correction)
         packet_starts: List[Optional[int]] = [None] * len(captures)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,10 @@ PARAMETRIC_METHODS = ("root_music", "esprit", "phase_interferometry")
 #: (``method`` stays "music"); :data:`repro.api.AOA_METHODS` registers them
 #: under their own names for discoverability.
 STREAMING_METHODS = ("subspace",)
+
+#: Calibration for a batch: one table for every capture, or one (optional)
+#: table per capture.
+Calibrations = Union[CalibrationTable, Sequence[Optional[CalibrationTable]], None]
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,11 @@ class AoAEstimator:
         return self._engine.process_batch([capture], calibration=calibration)[0]
 
     def process_batch(self, captures: Sequence[Capture],
-                      calibration: Optional[CalibrationTable] = None) -> List[AoAEstimate]:
-        """Process a batch of captures through the batched engine."""
+                      calibration: Calibrations = None) -> List[AoAEstimate]:
+        """Process a batch of captures through the batched engine.
+
+        ``calibration`` is one table for the batch or one per capture.
+        """
         return self._engine.process_batch(captures, calibration=calibration)
 
     def process_samples(self, samples: np.ndarray) -> AoAEstimate:

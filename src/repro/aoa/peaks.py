@@ -31,11 +31,15 @@ def _candidate_masks(values: np.ndarray, wrap: bool,
     """
     maxima = np.max(values, axis=-1)
     thresholds = maxima * min_relative_height
-    left = np.roll(values, 1, axis=-1)
-    right = np.roll(values, -1, axis=-1)
-    mask = (values >= thresholds[:, None]) & (values >= left) & (values > right)
-    if not wrap:
-        mask[:, 0] = (values[:, 0] >= thresholds) & (values[:, 0] > values[:, 1])
+    mask = values >= thresholds[:, None]
+    # Neighbour comparisons on shifted views (no rolled copies); the end
+    # samples compare across the wrap only on a circular grid.
+    mask[:, 1:] &= values[:, 1:] >= values[:, :-1]
+    mask[:, :-1] &= values[:, :-1] > values[:, 1:]
+    if wrap:
+        mask[:, 0] &= values[:, 0] >= values[:, -1]
+        mask[:, -1] &= values[:, -1] > values[:, 0]
+    else:
         mask[:, -1] = (values[:, -1] >= thresholds) & (values[:, -1] > values[:, -2])
     # Rows whose maximum is not positive have no meaningful peaks.
     mask[maxima <= 0, :] = False

@@ -12,7 +12,8 @@ the full live stack — environment, per-AP testbed simulators, calibrated
   accept/drop/flag decision, every AP's bearing, the triangulated location,
   the fence verdict, and the processing latency — either streaming
   (``mode="stream"``, one analysis per packet) or batched (``mode="batch"``,
-  one stacked eigendecomposition per AP).  Scalar and batched paths share
+  one analysis per batch).  Either way, APs with the same array spec and
+  estimator configuration share one stacked engine call.  Both modes share
   the per-packet policy code, so they cannot diverge.
 * :meth:`run` and :meth:`run_batch` are the v0 spellings of the two modes,
   kept as thin shims over :meth:`process` so existing runners and examples
@@ -29,12 +30,12 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.aoa.estimator import AoAEstimate
+from repro.aoa.estimator import AoAEstimate, EstimatorConfig
 from repro.api.components import ENVIRONMENTS
 from repro.api.events import EVENT_SCHEMA_VERSION, Packet, PacketEvent
-from repro.api.spec import AccessPointSpec, ScenarioSpec
+from repro.api.spec import AccessPointSpec, ArraySpec, ScenarioSpec
 from repro.attacks.attacker import Attacker
 from repro.attacks.spoofing_attack import SpoofingAttack
 from repro.core.access_point import AccessPointConfig, SecureAngleAP
@@ -92,6 +93,17 @@ class Deployment:
             ap = self._compile_ap(index, ap_spec)
             self.aps[ap.name] = ap
             ap_list.append(ap)
+
+        # APs with the same array spec and estimator configuration share one
+        # engine call per batch (see _analyze), led by the first of them; a
+        # subspace-tracking AP leads its own, as its tracker state is per AP.
+        leaders: Dict[Tuple[ArraySpec, EstimatorConfig], str] = {}
+        self._engine_leader: Dict[str, str] = {}
+        for ap_spec in self._ap_specs:
+            config = self.aps[ap_spec.name].config.estimator
+            self._engine_leader[ap_spec.name] = (
+                ap_spec.name if config.subspace_tracking
+                else leaders.setdefault((ap_spec.array, config), ap_spec.name))
 
         fence: Optional[VirtualFence] = None
         if spec.fence is not None:
@@ -314,56 +326,76 @@ class Deployment:
         timestamps = [start_s + index * inter_packet_gap_s
                       for index in range(num_packets)]
         if client_id is not None:
-            client = self.clients[client_id]
-            position = self.environment.client_position(client_id)
-            frames: List[Dot11Frame] = []
-            for index in range(num_packets):
-                if source is None:
-                    frames.append(client.make_frame(self.ap_address, payload=payload))
-                else:
-                    frames.append(Dot11Frame(source=source,
-                                             destination=self.ap_address,
-                                             sequence_number=index,
-                                             payload=payload))
-            requests = [
-                CaptureRequest(position=position, frame=frame,
-                               tx_power_dbm=client.tx_power_dbm,
-                               elapsed_s=timestamp, timestamp_s=timestamp,
-                               metadata={"client_id": client_id})
-                for frame, timestamp in zip(frames, timestamps)
-            ]
-            packet_metadata = {"client_id": client_id}
+            requests = self.client_requests(client_id, timestamps,
+                                            payload=payload, source=source)
         else:
             if victim_address is None:
                 raise ValueError("attacker traffic needs a victim_address")
-            attacker_obj = self.attackers[attacker]
-            attack = SpoofingAttack(attacker=attacker_obj,
-                                    victim_address=victim_address,
-                                    ap_address=self.ap_address,
-                                    num_frames=num_packets)
-            frames = list(attack.iter_frames())
-            requests = [
-                CaptureRequest(position=attacker_obj.transmit_position(index),
-                               frame=frame,
-                               tx_power_dbm=attacker_obj.tx_power_dbm,
-                               elapsed_s=timestamp, timestamp_s=timestamp,
-                               attacker=attacker_obj)
-                for index, (frame, timestamp) in enumerate(zip(frames, timestamps))
-            ]
-            packet_metadata = {"attacker": attacker_obj.name}
+            requests = self.attacker_requests(attacker, victim_address, timestamps)
+        return self.synthesize(requests)
+
+    def client_requests(self, client_id: int, timestamps: Sequence[float], *,
+                        payload: bytes = b"uplink",
+                        source: Optional[MacAddress] = None) -> List[CaptureRequest]:
+        """One capture request per timestamp for a client's uplink packets.
+
+        Mints the client's frames in order (``source`` overrides their
+        claimed address, numbering them from 0); feed the requests to
+        :meth:`synthesize`.
+        """
+        client = self.clients[client_id]
+        position = self.environment.client_position(client_id)
+        requests: List[CaptureRequest] = []
+        for index, timestamp in enumerate(timestamps):
+            if source is None:
+                frame = client.make_frame(self.ap_address, payload=payload)
+            else:
+                frame = Dot11Frame(source=source, destination=self.ap_address,
+                                   sequence_number=index, payload=payload)
+            requests.append(CaptureRequest(
+                position=position, frame=frame, tx_power_dbm=client.tx_power_dbm,
+                elapsed_s=timestamp, timestamp_s=timestamp,
+                metadata={"client_id": client_id}))
+        return requests
+
+    def attacker_requests(self, attacker: str, victim_address: MacAddress,
+                          timestamps: Sequence[float]) -> List[CaptureRequest]:
+        """One capture request per timestamp for a spec attacker's spoofed packets."""
+        attacker_obj = self.attackers[attacker]
+        attack = SpoofingAttack(attacker=attacker_obj, victim_address=victim_address,
+                                ap_address=self.ap_address,
+                                num_frames=len(timestamps))
+        return [
+            CaptureRequest(position=attacker_obj.transmit_position(index),
+                           frame=frame, tx_power_dbm=attacker_obj.tx_power_dbm,
+                           elapsed_s=timestamp, timestamp_s=timestamp,
+                           attacker=attacker_obj)
+            for index, (frame, timestamp)
+            in enumerate(zip(attack.iter_frames(), timestamps))
+        ]
+
+    def synthesize(self, requests: Sequence[CaptureRequest]) -> List[Packet]:
+        """Capture a batch of requests at every AP: one ``capture_batch`` each.
+
+        Requests may mix clients and attackers; each simulator spawns its
+        per-packet rng substreams in request order, so the packets are
+        bit-identical to generating them one by one in that order.
+        """
         captures_by_ap = {
             name: simulator.capture_batch(requests)
             for name, simulator in self.simulators.items()
         }
         return [
             Packet(
-                frame=frames[index],
-                captures={name: captures_by_ap[name][index]
-                          for name in self.simulators},
-                timestamp_s=timestamps[index],
-                metadata=dict(packet_metadata),
+                frame=request.frame,
+                captures={name: captures[index]
+                          for name, captures in captures_by_ap.items()},
+                timestamp_s=request.timestamp_s,
+                metadata=({"attacker": request.attacker.name}
+                          if request.attacker is not None
+                          else dict(request.metadata or {})),
             )
-            for index in range(num_packets)
+            for index, request in enumerate(requests)
         ]
 
     def train(self, address: MacAddress, client_id: int,
@@ -401,11 +433,14 @@ class Deployment:
           arrive; each event's :attr:`~PacketEvent.packet_latency_s` is that
           packet's own measured analysis time
           (:attr:`~PacketEvent.batch_latency_s` is ``None``).
-        * ``"batch"`` — the whole iterable is drained first and every AP
-          sees all of its captures in one ``analyze_batch`` call; each
-          event's :attr:`~PacketEvent.batch_latency_s` is the batch mean
-          (total wall-clock over the batch divided by its size;
+        * ``"batch"`` — the whole iterable is drained first and analysed
+          together; each event's :attr:`~PacketEvent.batch_latency_s` is the
+          batch mean (total wall-clock over the batch divided by its size;
           :attr:`~PacketEvent.packet_latency_s` is ``None``).
+
+        In both modes the APs with the same array spec and estimator
+        configuration (and no subspace tracking) share one ``analyze_batch``
+        call per analysis, each capture corrected by its own AP's table.
 
         Per-packet policy runs in arrival order in both modes, and the
         scalar and batched AoA paths share their kernels, so decisions,
@@ -449,10 +484,7 @@ class Deployment:
                         update_signatures: bool) -> Iterator[PacketEvent]:
         for index, packet in enumerate(packets):
             start = time.perf_counter()
-            estimates = {
-                name: self.ap(name).analyze(capture)
-                for name, capture in packet.captures.items()
-            }
+            estimates = self._analyze([packet])[0]
             primary = self._primary_name(packet, primary_ap)
             observation = signatures_from_pseudospectra(
                 [estimates[primary].pseudospectrum],
@@ -469,17 +501,7 @@ class Deployment:
         if not packets:
             return []
         start = time.perf_counter()
-        per_ap: Dict[str, List[Tuple[int, Capture]]] = {}
-        for index, packet in enumerate(packets):
-            for name, capture in packet.captures.items():
-                self.ap(name)  # validate the name early
-                per_ap.setdefault(name, []).append((index, capture))
-        estimates: List[Dict[str, AoAEstimate]] = [{} for _ in packets]
-        for name, entries in per_ap.items():
-            results = self.aps[name].analyze_batch(
-                [capture for _, capture in entries])
-            for (index, _), estimate in zip(entries, results):
-                estimates[index][name] = estimate
+        estimates = self._analyze(packets)
         primaries = [self._primary_name(packet, primary_ap) for packet in packets]
         observations = signatures_from_pseudospectra(
             [estimates[index][primary].pseudospectrum
@@ -496,6 +518,31 @@ class Deployment:
         return [replace(event, batch_latency_s=latency) for event in events]
 
     # ---------------------------------------------------------------- internals
+    def _analyze(self, packets: Sequence[Packet]) -> List[Dict[str, AoAEstimate]]:
+        """Every capture's AoA estimate: one engine call per engine group.
+
+        Captures of all packets and APs that share an engine (same array
+        spec and estimator configuration) are stacked into one batch, each
+        corrected by its own AP's calibration table.  The engine computes
+        every item independently, so the estimates do not depend on the
+        grouping; each packet's dict keeps its captures' order.
+        """
+        groups: Dict[str, List[Tuple[int, str, Capture]]] = {}
+        for index, packet in enumerate(packets):
+            for name, capture in packet.captures.items():
+                self.ap(name)  # validate the name early
+                groups.setdefault(self._engine_leader[name], []).append(
+                    (index, name, capture))
+        results: Dict[Tuple[int, str], AoAEstimate] = {}
+        for leader, entries in groups.items():
+            estimates = self.aps[leader].analyze_batch(
+                [capture for _, _, capture in entries],
+                calibrations=[self.aps[name].calibration for _, name, _ in entries])
+            for (index, name, _), estimate in zip(entries, estimates):
+                results[index, name] = estimate
+        return [{name: results[index, name] for name in packet.captures}
+                for index, packet in enumerate(packets)]
+
     def _primary_name(self, packet: Packet, primary_ap: Optional[str]) -> str:
         if primary_ap is not None:
             if primary_ap not in packet.captures:

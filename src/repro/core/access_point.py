@@ -97,9 +97,18 @@ class SecureAngleAP:
         """Run the AoA estimator on a capture (applying calibration if needed)."""
         return self.estimator.process(capture, calibration=self.calibration)
 
-    def analyze_batch(self, captures: Sequence[Capture]) -> List[AoAEstimate]:
-        """Run the batched AoA engine on a whole batch of captures."""
-        return self.estimator.process_batch(captures, calibration=self.calibration)
+    def analyze_batch(self, captures: Sequence[Capture],
+                      calibrations: Optional[Sequence[Optional[CalibrationTable]]] = None
+                      ) -> List[AoAEstimate]:
+        """Run the batched AoA engine on a whole batch of captures.
+
+        ``calibrations`` (one table per capture) replaces this AP's own
+        table, so APs with the same array and estimator configuration can
+        share this AP's engine in one call.
+        """
+        return self.estimator.process_batch(
+            captures,
+            calibration=self.calibration if calibrations is None else calibrations)
 
     def signature_from_capture(self, capture: Capture) -> AoASignature:
         """Compute the AoA signature of a single capture."""
@@ -139,7 +148,8 @@ class SecureAngleAP:
         """
         check = self.detector.check(source, observation)
         if update_signature and check.verdict is SpoofingVerdict.MATCH:
-            self.tracker.observe(source, observation, timestamp_s)
+            self.tracker.observe(source, observation, timestamp_s,
+                                 similarity=check.similarity)
         return check
 
     def decide(self, source: MacAddress, observation: AoASignature,

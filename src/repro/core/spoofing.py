@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.database import SignatureDatabase
-from repro.core.metrics import direct_path_distance_deg, signature_similarity
+import numpy as np
+
+from repro.core.database import SignatureDatabase, SignatureRecord
+from repro.core.metrics import direct_path_distance_deg, reference_db, signature_similarity
 from repro.core.signature import AoASignature
 from repro.mac.address import MacAddress
 
@@ -71,13 +73,17 @@ class SpoofingDetector:
         self.database = database
         self.config = config if config is not None else SpoofingDetectorConfig()
         self._mismatch_streaks: Dict[MacAddress, int] = {}
+        #: Per address: the stored signature the curve was computed for,
+        #: and its reference_db curve.
+        self._references: Dict[MacAddress, Tuple[AoASignature, np.ndarray]] = {}
 
     def check(self, address: MacAddress, observation: AoASignature) -> SpoofingCheck:
         """Check one packet's signature against the stored one for ``address``."""
         record = self.database.lookup(address)
         if record is None:
             return SpoofingCheck(SpoofingVerdict.UNKNOWN_ADDRESS, 0.0, 180.0)
-        similarity = signature_similarity(record.signature, observation)
+        similarity = signature_similarity(record.signature, observation,
+                                          a_db=self._reference_db(record))
         direct_error = direct_path_distance_deg(record.signature, observation)
         matches = (similarity >= self.config.similarity_threshold
                    and direct_error <= self.config.max_direct_path_error_deg)
@@ -92,6 +98,24 @@ class SpoofingDetector:
         # Not enough consecutive evidence yet: treat as a (suspicious) match so
         # that an isolated bad pseudospectrum does not disrupt a legitimate client.
         return SpoofingCheck(SpoofingVerdict.MATCH, similarity, direct_error)
+
+    def _reference_db(self, record: SignatureRecord) -> np.ndarray:
+        """The stored signature's reference curve, computed once per stored
+        signature.
+
+        The curve is refreshed in place in one buffer per address: a new
+        long-lived array per tracking update, between the large short-lived
+        arrays of each batch, raised peak RSS on bursty traffic.
+        """
+        cached = self._references.get(record.address)
+        if cached is not None and cached[0] is record.signature:
+            return cached[1]
+        curve = reference_db(record.signature)
+        if cached is not None and cached[1].shape == curve.shape:
+            cached[1][...] = curve
+            curve = cached[1]
+        self._references[record.address] = (record.signature, curve)
+        return curve
 
     def reset(self, address: Optional[MacAddress] = None) -> None:
         """Clear mismatch streaks (for one address or for all)."""

@@ -16,7 +16,12 @@ Start one from the CLI::
 
 from repro.serve.backlog import Backlog, BacklogSubscription
 from repro.serve.batcher import MicroBatcher
-from repro.serve.ingest import PacketRequest, replay_events, synthesize_packet
+from repro.serve.ingest import (
+    PacketRequest,
+    replay_events,
+    synthesize_packet,
+    synthesize_packets,
+)
 from repro.serve.service import SecureAngleService, ServeConfig, run_service
 from repro.serve.tenants import Tenant, TenantConfig, resolve_scenario
 
@@ -33,4 +38,5 @@ __all__ = [
     "resolve_scenario",
     "run_service",
     "synthesize_packet",
+    "synthesize_packets",
 ]

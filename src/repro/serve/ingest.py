@@ -7,9 +7,10 @@ at t=200.5s" — and synthesizes the physical packet (frame + per-AP captures)
 server-side through the deployment's own traffic generators.
 
 The one rule that makes the whole service verifiable: **live and offline
-paths share these functions.**  :func:`synthesize_packet` is called by the
-live tenant worker per micro-batch, and :func:`replay_events` — the offline
-reference — calls it over the identical request list in the identical order.
+paths share these functions.**  :func:`synthesize_packets` is called by the
+live tenant worker once per micro-batch, and :func:`replay_events` — the
+offline reference — calls it over the identical request list in the
+identical order.
 Because capture synthesis consumes the deployment's master generator
 deterministically in request order, and decisions are batch-partition
 invariant (``tests/test_synthesis_batch_equivalence.py``), the streamed
@@ -20,14 +21,15 @@ micro-batcher happened to chop the arrivals.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.api.deployment import Deployment
 from repro.api.events import Packet, PacketEvent
 from repro.mac.address import MacAddress
 from repro.utils.serde import JsonSerializable
 
-__all__ = ["PacketRequest", "replay_events", "synthesize_packet"]
+__all__ = ["PacketRequest", "replay_events", "synthesize_packet",
+           "synthesize_packets"]
 
 
 @dataclass(frozen=True)
@@ -55,26 +57,38 @@ class PacketRequest(JsonSerializable):
             raise ValueError("an attacker request needs victim_client_id")
 
 
+def synthesize_packets(deployment: Deployment,
+                       requests: Sequence[PacketRequest]) -> List[Packet]:
+    """Synthesize the physical packets a micro-batch of requests describes.
+
+    Builds one capture request per packet request, exactly as
+    ``deployment.traffic(num_packets=1)`` would, and captures the whole
+    batch with one :meth:`~repro.api.deployment.Deployment.synthesize` call
+    (one ``capture_batch`` per simulator).  The rng streams are consumed as
+    the scalar traffic generators consume them request by request — byte
+    identity between live and replayed events depends on calling this over
+    the same requests in the same order, however they are split into calls.
+    """
+    capture_requests = []
+    for request in requests:
+        if request.attacker is not None:
+            victim_id = request.victim_client_id
+            assert victim_id is not None  # enforced by __post_init__
+            capture_requests += deployment.attacker_requests(
+                request.attacker, deployment.clients[victim_id].address,
+                [request.timestamp_s])
+        else:
+            client_id = request.client_id
+            assert client_id is not None  # enforced by __post_init__
+            capture_requests += deployment.client_requests(
+                client_id, [request.timestamp_s], source=request.source)
+    return deployment.synthesize(capture_requests)
+
+
 def synthesize_packet(deployment: Deployment,
                       request: PacketRequest) -> Packet:
-    """Synthesize the physical packet a request describes.
-
-    Consumes the deployment's rng streams exactly as the offline traffic
-    generators do — byte identity between live and replayed events depends
-    on calling this over the same requests in the same order.
-    """
-    if request.attacker is not None:
-        victim_id = request.victim_client_id
-        assert victim_id is not None  # enforced by __post_init__
-        victim = deployment.clients[victim_id].address
-        return next(deployment.attacker_packets(
-            request.attacker, victim, num_packets=1,
-            start_s=request.timestamp_s))
-    client_id = request.client_id
-    assert client_id is not None  # enforced by __post_init__
-    return next(deployment.client_packets(
-        client_id, num_packets=1, start_s=request.timestamp_s,
-        source=request.source))
+    """Synthesize one request's packet (a batch of one)."""
+    return synthesize_packets(deployment, [request])[0]
 
 
 def replay_events(deployment: Deployment, requests: Iterable[PacketRequest],
@@ -88,7 +102,7 @@ def replay_events(deployment: Deployment, requests: Iterable[PacketRequest],
     renumbered to the request's position in the log, exactly as the live
     path stamps its per-tenant submission sequence numbers.
     """
-    packets = [synthesize_packet(deployment, request) for request in requests]
+    packets = synthesize_packets(deployment, list(requests))
     events = deployment.run_batch(packets, primary_ap=primary_ap,
                                   update_signatures=update_signatures)
     return [replace(event, index=seq) for seq, event in enumerate(events)]

@@ -103,6 +103,9 @@ class CaptureRequest:
 class TestbedSimulator:
     """Simulate one access point's view of the testbed."""
 
+    #: Not a test class, despite the name pytest collects by.
+    __test__ = False
+
     def __init__(self, environment: TestbedEnvironment, array: AntennaArray,
                  ap_position: Optional[Point] = None, orientation_deg: float = 0.0,
                  config: Optional[SimulatorConfig] = None, rng: RngLike = None):

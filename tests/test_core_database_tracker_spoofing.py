@@ -5,6 +5,7 @@ import pytest
 
 from repro.aoa.spectrum import Pseudospectrum
 from repro.core.database import SignatureDatabase
+from repro.core.metrics import signature_similarity
 from repro.core.signature import AoASignature
 from repro.core.spoofing import SpoofingDetector, SpoofingDetectorConfig, SpoofingVerdict
 from repro.core.tracker import SignatureTracker, TrackerConfig
@@ -167,6 +168,25 @@ class TestSpoofingDetector:
         detector.reset(victim_address)
         check = detector.check(victim_address, _signature(220.0))
         assert check.verdict is SpoofingVerdict.MATCH  # streak was cleared
+
+    def test_similarity_follows_signature_updates(self, victim_address):
+        # The detector keeps the stored signature's reference curve between
+        # checks; every update (tracking or re-training) must refresh it.
+        database = SignatureDatabase()
+        database.train(victim_address, _signature(100.0, 160.0))
+        detector = SpoofingDetector(database)
+        tracker = SignatureTracker(database, TrackerConfig(update_weight=0.5))
+        for observation in (_signature(101.0, 162.0), _signature(103.0, 158.0),
+                            _signature(99.0, 161.0)):
+            stored = database.require(victim_address).signature
+            check = detector.check(victim_address, observation)
+            assert check.similarity == signature_similarity(stored, observation)
+            assert tracker.observe(victim_address, observation, 1.0,
+                                   similarity=check.similarity)
+        database.train(victim_address, _signature(250.0))
+        observation = _signature(252.0)
+        assert detector.check(victim_address, observation).similarity == (
+            signature_similarity(_signature(250.0), observation))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
